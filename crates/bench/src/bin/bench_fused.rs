@@ -1,7 +1,8 @@
 //! Fused-kernel benchmark: staged reference vs the fused cache-blocked
-//! butterfly kernels (serial and span-parallel) and the batched
-//! multi-vector apply, plus end-to-end `Fmmp` solve timings at one thread
-//! ("CPU") and at the process default width ("GPU*").
+//! butterfly plan run by the one executor
+//! ([`qs_matvec::schedule::run_fused`]) at one worker and span-parallel,
+//! plus end-to-end `Fmmp` solve timings at one thread ("CPU") and at the
+//! process default width ("GPU*").
 //!
 //! The matvec matrix runs **twice** — once at one thread and once at
 //! several (both set with `qs_matvec::schedule::with_threads`) — so
@@ -14,8 +15,7 @@
 //!
 //! ```text
 //! bench_fused [--max-nu N] [--quick] [--threads 1,2,4] [--isas auto,scalar]
-//!             [--guard R] [--guard-batch R] [--guard-parallel R]
-//!             [--guard-plan R]
+//!             [--guard R] [--guard-parallel R] [--guard-plan R]
 //! ```
 //!
 //! `--threads` selects the thread widths to measure (default: `1` plus the
@@ -25,9 +25,7 @@
 //!
 //! `--guard R` turns the run into a regression gate: exit nonzero if the
 //! serial fused kernel is more than `R`× slower than the staged reference
-//! at any measured ν. `--guard-batch R` gates the column-blocked batched apply:
-//! exit nonzero if its per-column cost exceeds `R`× the single-vector
-//! fused cost at any measured ν on the 1-thread run. `--guard-parallel R`
+//! at any measured ν. `--guard-parallel R`
 //! gates span-schedule scaling: on every multi-thread run, the parallel
 //! fused kernel must stay within `R`× of the same run's serial fused
 //! kernel once ν ≥ 18 (where parallelism must pay for itself), and within
@@ -39,26 +37,22 @@
 //! some run, is more than `R`× slower than the fastest of the staged,
 //! fused and span-parallel kernels. Run it over a ν range that reaches
 //! the span threshold so both plans are checked. CI uses `--guard 2.0
-//! --guard-batch 1.5 --guard-parallel 1.05`.
+//! --guard-parallel 1.05` and `--guard 2.0 --guard-plan 1.25`.
 //!
 //! Every matvec sample times a batch of back-to-back applies lasting at
 //! least 1 ms, so short vectors are not timed off a few timer ticks.
 //! Where [`qs_matvec::schedule::span_workers`] grants at most one worker,
-//! the span-parallel kernel is the serial fused code, so the
-//! span-parallel series records the fused time instead of measuring it
-//! again.
+//! the executor runs the one-worker path, so the span-parallel series
+//! records the fused time instead of measuring it again.
 
 use std::time::Instant;
 
 use qs_bench::time_median;
 use qs_landscape::SinglePeak;
-use qs_matvec::parallel::fmmp_span_parallel;
-use qs_matvec::schedule::{threads, with_threads};
-use qs_matvec::{fmmp_batch_in_place, Fmmp, FmmpVariant, LinearOperator, NullProbe};
+use qs_matvec::fused::MixButterfly;
+use qs_matvec::schedule::{run_fused, threads, with_threads};
+use qs_matvec::{fmmp_in_place_fused, Fmmp, FmmpVariant, LinearOperator, NullProbe};
 use quasispecies::{solve, SolverConfig};
-
-/// Columns in the batched-apply measurement.
-const BATCH: usize = 8;
 
 /// First ν at which `--guard-parallel` applies its tight ratio: below
 /// this the span schedule is expected to bail to serial, above it the
@@ -74,7 +68,6 @@ struct Args {
     threads: Option<Vec<usize>>,
     isas: Vec<String>,
     guard: Option<f64>,
-    guard_batch: Option<f64>,
     guard_parallel: Option<f64>,
     guard_plan: Option<f64>,
 }
@@ -101,7 +94,6 @@ fn parse_args() -> Args {
         threads: None,
         isas: vec!["auto".into(), "scalar".into()],
         guard: None,
-        guard_batch: None,
         guard_parallel: None,
         guard_plan: None,
     };
@@ -129,12 +121,6 @@ fn parse_args() -> Args {
             "--guard" => {
                 if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
                     out.guard = Some(v);
-                }
-                i += 2;
-            }
-            "--guard-batch" => {
-                if let Some(v) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                    out.guard_batch = Some(v);
                 }
                 i += 2;
             }
@@ -212,7 +198,7 @@ fn json_u32s(xs: &[u32]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-/// One matvec measurement matrix (all four series over `nus`), taken on
+/// One matvec measurement matrix (all three series over `nus`), taken on
 /// whatever thread width and SIMD dispatch are set when this runs.
 struct MatvecRun {
     threads: usize,
@@ -226,7 +212,6 @@ struct MatvecRun {
     serial_ref: Vec<f64>,
     serial_fused: Vec<f64>,
     par_fused: Vec<f64>,
-    batch_fused: Vec<f64>,
     /// Workers the span schedule engaged at each ν at this width on this machine
     /// (≤ 1 means the parallel kernel fell back to serial code).
     workers: Vec<usize>,
@@ -238,8 +223,7 @@ impl MatvecRun {
             "    {{\n      \"threads\": {},\n      \"isa\": \"{}\",\n      \"isa_requested\": \"{}\",\n      \"nus\": {},\n      \
              \"series\": {{\n        \
              \"fmmp_serial_ref\": {},\n        \"fmmp_serial_fused\": {},\n        \
-             \"fmmp_parallel_fused\": {},\n        \
-             \"fmmp_batch_fused\": {}\n      }},\n      \"span_workers\": {}\n    }}",
+             \"fmmp_parallel_fused\": {}\n      }},\n      \"span_workers\": {}\n    }}",
             self.threads,
             self.isa,
             self.isa_requested,
@@ -247,13 +231,12 @@ impl MatvecRun {
             json_f64s(&self.serial_ref),
             json_f64s(&self.serial_fused),
             json_f64s(&self.par_fused),
-            json_f64s(&self.batch_fused),
             json_u32s(&self.workers.iter().map(|&w| w as u32).collect::<Vec<_>>()),
         )
     }
 }
 
-/// Measure all four series at every ν at the current width and dispatch.
+/// Measure all three series at every ν at the current width and dispatch.
 fn run_matvec_series(nus: &[u32], p: f64, quick: bool, isa_requested: &str) -> MatvecRun {
     let mut run = MatvecRun {
         threads: threads(),
@@ -262,19 +245,17 @@ fn run_matvec_series(nus: &[u32], p: f64, quick: bool, isa_requested: &str) -> M
         serial_ref: Vec::new(),
         serial_fused: Vec::new(),
         par_fused: Vec::new(),
-        batch_fused: Vec::new(),
         workers: Vec::new(),
     };
     println!(
-        "== fused-kernel matvec bench (ns/element, median; batch = {BATCH} columns; \
-         {} thread{}; {} kernels) ==",
+        "== fused-kernel matvec bench (ns/element, median; {} thread{}; {} kernels) ==",
         run.threads,
         if run.threads == 1 { "" } else { "s" },
         run.isa
     );
     println!(
-        "{:>4} {:>12} {:>12} {:>12} {:>12}",
-        "ν", "serial-ref", "serial-fused", "par-fused", "batch-fused"
+        "{:>4} {:>12} {:>12} {:>12}",
+        "ν", "serial-ref", "serial-fused", "par-fused"
     );
     for &nu in nus {
         let n = 1usize << nu;
@@ -288,36 +269,25 @@ fn run_matvec_series(nus: &[u32], p: f64, quick: bool, isa_requested: &str) -> M
         let warmup = if quick { 1 } else { 2 };
 
         let staged = Fmmp::with_variant(nu, p, FmmpVariant::Iterative);
-        let op = Fmmp::fused(nu, p);
         let sr = ns_per_element(|v| staged.apply_in_place(v), &v, warmup, reps);
-        let sf = ns_per_element(|v| op.apply_in_place(v), &v, warmup, reps);
+        let sf = ns_per_element(|v| fmmp_in_place_fused(v, p), &v, warmup, reps);
         let workers = qs_matvec::schedule::span_workers(n);
-        // Below the span threshold `fmmp_span_parallel` runs the serial
-        // fused code: record that series' time instead of measuring the
-        // same kernel twice.
+        // Below the span threshold the executor runs its one-worker path:
+        // record that series' time instead of measuring the same kernel
+        // twice.
         let pf = if workers > 1 {
-            ns_per_element(
-                |v| fmmp_span_parallel(v, None, p, workers, &mut NullProbe),
-                &v,
-                warmup,
-                reps,
-            )
+            let bf = MixButterfly::new(p);
+            let label = "fmmp-fused-pass";
+            let apply = |v: &mut [f64]| run_fused(v, bf, None, workers, &mut NullProbe, label);
+            ns_per_element(apply, &v, warmup, reps)
         } else {
             sf
         };
 
-        let mut slab = Vec::with_capacity(n * BATCH);
-        for _ in 0..BATCH {
-            slab.extend_from_slice(&v);
-        }
-        let bf = seconds_per_call(|| fmmp_batch_in_place(&mut slab, BATCH, p), warmup, reps) * 1e9
-            / (n * BATCH) as f64;
-
-        println!("{nu:>4} {sr:>12.3} {sf:>12.3} {pf:>12.3} {bf:>12.3}");
+        println!("{nu:>4} {sr:>12.3} {sf:>12.3} {pf:>12.3}");
         run.serial_ref.push(sr);
         run.serial_fused.push(sf);
         run.par_fused.push(pf);
-        run.batch_fused.push(bf);
         run.workers.push(workers);
     }
     run
@@ -370,7 +340,7 @@ fn main() {
     let matvec_json = format!(
         "{{\n  \"provenance\": {{\"generated_by\": \"bench_fused\", \"solver_threads\": {}, \
          \"serial\": {}}},\n  \
-         \"unit\": \"ns_per_element\",\n  \"p\": {p},\n  \"batch_columns\": {BATCH},\n  \
+         \"unit\": \"ns_per_element\",\n  \"p\": {p},\n  \
          \"nus\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         threads(),
         threads() <= 1,
@@ -453,32 +423,6 @@ fn main() {
         }
         if !failed {
             println!("guard OK: fused within {ratio}× of reference at every measured ν");
-        }
-    }
-    if let Some(ratio) = args.guard_batch {
-        // Batch quality is a single-core kernel property; gate it on the
-        // first 1-thread run so thread scheduling noise cannot mask a layout
-        // regression.
-        match runs.iter().find(|r| r.threads == 1) {
-            None => println!("guard-batch skipped: no 1-thread run in --threads list"),
-            Some(single) => {
-                for (i, &nu) in nus.iter().enumerate() {
-                    let (batch, fused) = (single.batch_fused[i], single.serial_fused[i]);
-                    if batch > ratio * fused {
-                        eprintln!(
-                            "guard-batch FAILED at ν={nu}: batched apply {batch:.3} ns/el per \
-                             column > {ratio}× single-vector fused {fused:.3} ns/el"
-                        );
-                        failed = true;
-                    }
-                }
-                if !failed {
-                    println!(
-                        "guard-batch OK: batched apply within {ratio}× of single-vector fused \
-                         at every measured ν"
-                    );
-                }
-            }
         }
     }
     if let Some(ratio) = args.guard_parallel {

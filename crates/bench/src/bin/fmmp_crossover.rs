@@ -3,17 +3,18 @@
 //! [`Fmmp::new`] runs the fused cache-tiled kernel at every length, since
 //! it beats the staged loop (one sweep per butterfly stage) from the
 //! shortest vector measured here; and it spreads the fused kernel over the
-//! calling thread's width wherever [`qs_matvec::schedule::span_workers`] grants more
-//! than one worker. This binary produces the tables both decisions are
-//! read from: at every ν
-//! from 8 to 22 it times `apply_in_place` of the staged and fused serial
-//! variants and of the span-parallel kernel on as many workers as the
-//! thread width and cores allow (forced at every ν, including below the
-//! span threshold, where `Fmmp::new` itself would run serially), over
-//! several rounds, on the `auto` and `scalar` SIMD dispatches. Within a
-//! round the three variants take turns batch by batch (the variant that
-//! goes first rotates between rounds), so a burst of load from another
-//! tenant of the host lands on all three rather than on one.
+//! calling thread's width wherever [`qs_matvec::schedule::span_workers`]
+//! grants more than one worker. This binary produces the tables both
+//! decisions are read from: at every ν from 8 to 22 it times the staged
+//! serial variant's `apply_in_place` and the fused plan run by the one
+//! executor ([`qs_matvec::schedule::run_fused`]) at one worker and on as
+//! many workers as the thread width and cores allow (forced at every ν,
+//! including below the span threshold, where `Fmmp::new` itself would run
+//! serially), over several rounds, on the `auto` and `scalar` SIMD
+//! dispatches. Within a round the three variants take turns batch by
+//! batch (the variant that goes first rotates between rounds), so a burst
+//! of load from another tenant of the host lands on all three rather than
+//! on one.
 //!
 //! ```text
 //! fmmp_crossover
@@ -33,8 +34,9 @@
 
 use std::time::Instant;
 
-use qs_matvec::parallel::fmmp_span_parallel;
-use qs_matvec::{Fmmp, FmmpVariant, Isa, LinearOperator, NullProbe};
+use qs_matvec::fused::MixButterfly;
+use qs_matvec::schedule::run_fused;
+use qs_matvec::{fmmp_in_place_fused, Fmmp, FmmpVariant, Isa, LinearOperator, NullProbe};
 
 const MIN_NU: u32 = 8;
 const MAX_NU: u32 = 22;
@@ -111,11 +113,11 @@ fn main() {
         for round in 0..ROUNDS {
             for (i, &nu) in nus.iter().enumerate() {
                 let staged = Fmmp::with_variant(nu, P, FmmpVariant::Iterative);
-                let fused = Fmmp::with_variant(nu, P, FmmpVariant::Fused);
+                let bf = MixButterfly::new(P);
                 let applies: [Apply<'_>; 3] = [
                     &|v| staged.apply_in_place(v),
-                    &|v| fused.apply_in_place(v),
-                    &|v| fmmp_span_parallel(v, None, P, workers, &mut NullProbe),
+                    &|v| fmmp_in_place_fused(v, P),
+                    &|v| run_fused(v, bf, None, workers, &mut NullProbe, "fmmp-fused-pass"),
                 ];
                 let mut buf: Vec<f64> = (0..1usize << nu)
                     .map(|j| 1.0 + (j.wrapping_mul(2654435761) % 1000) as f64 / 1000.0)

@@ -656,7 +656,7 @@ mod tests {
             .filter(|e| matches!(e, SolverEvent::MatvecTimed { .. }))
             .count();
         let it = probed.iterations;
-        let passes = qs_matvec::fused::plan_span(1 << nu, 1).len();
+        let passes = qs_matvec::FusedPlan::new(1 << nu, 1).passes().len();
         assert_eq!(timed("fmmp-fused-pass"), it * passes);
         assert_eq!(timed("diag"), 0);
         assert_eq!(timed("shift-dot"), it);
@@ -671,7 +671,7 @@ mod tests {
         // probed run is still bit-identical to the silent one.
         let nu = 15u32;
         let landscape = Random::new(nu, 5.0, 1.0, 23);
-        let w = WOperator::from_landscape(Fmmp::fused(nu, 0.01), &landscape, Formulation::Right);
+        let w = WOperator::from_landscape(Fmmp::new(nu, 0.01), &landscape, Formulation::Right);
         let start = start_from(&landscape);
         let opts = PowerOptions {
             tol: 1e-11,
@@ -929,7 +929,7 @@ mod tests {
         let (nu, p) = (15u32, 0.02);
         let landscape = Random::new(nu, 5.0, 1.0, 67);
         let f = landscape.materialize();
-        let w = WOperator::new(Fmmp::fused(nu, p), f.as_slice(), Formulation::Right);
+        let w = WOperator::new(Fmmp::new(nu, p), f.as_slice(), Formulation::Right);
         let start = start_from(&landscape);
         let mu = qs_matvec::conservative_shift(nu, p, landscape.f_min());
         let opts = PowerOptions {

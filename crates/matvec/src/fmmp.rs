@@ -11,7 +11,7 @@
 //! costs `Θ(N log₂ N)` (paper Lemma 1) and runs **in situ** like an
 //! FFT/FWHT butterfly — no matrix element is ever stored.
 //!
-//! Three equivalent formulations are implemented and cross-checked:
+//! Four equivalent formulations are implemented and cross-checked:
 //!
 //! * [`fmmp_in_place`] — the iterative Algorithm 1 (strides `1,2,…,N/2`),
 //! * [`fmmp_in_place_eq10`] — the reversed stage order corresponding to
@@ -20,19 +20,22 @@
 //! * [`fmmp_recursive`] — the literal recursion, kept as an executable
 //!   specification,
 //! * [`fmmp_kernel_form`] — Algorithm 2's flat `ID`-loop with the bit-trick
-//!   index map `j = 2·ID − (ID & (i−1))`, the form the GPU kernel (and our
-//!   parallel backend) uses.
+//!   index map `j = 2·ID − (ID & (i−1))`, the form the GPU kernel uses.
 //!
-//! [`Fmmp::new`] is the engine every solve runs: it picks its kernel plan
-//! from the vector length and the calling thread's width (see its docs).
+//! [`Fmmp::new`] is the engine every solve runs: the fused plan of
+//! [`crate::fused`], run by the one executor
+//! ([`crate::schedule::run_fused`]) on as many workers as the calling
+//! thread's width grants (see its docs).
 
+use crate::fused::{MixButterfly, StepHead};
+use crate::schedule::{record_dispatch, run_fused, span_workers};
 use crate::{time_stage, LinearOperator, Probe};
 
-/// Which serial loop structure [`Fmmp`] uses; all variants compute the
-/// same product, they differ only in constants (paper Section 4 benchmarks
-/// the kernel form). [`Fmmp::new`] runs `Fused` for the applies it runs
-/// serially; the others, the staged `Iterative` oracle among them, are
-/// reachable through [`Fmmp::with_variant`].
+/// Which loop structure [`Fmmp`] uses; all variants compute the same
+/// product, they differ only in constants (paper Section 4 benchmarks the
+/// kernel form). [`Fmmp::new`] runs `Fused`; the others, the staged
+/// `Iterative` oracle among them, run serially and are reachable through
+/// [`Fmmp::with_variant`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FmmpVariant {
     /// Iterative Algorithm 1 (Eq. 9; strides ascending): one memory sweep
@@ -45,8 +48,11 @@ pub enum FmmpVariant {
     Recursive,
     /// Algorithm 2's flat `ID`-indexed kernel form.
     Kernel,
-    /// Cache-blocked radix-4/8 fused stages ([`crate::fused`]): identical
-    /// arithmetic in `≈ log₂N/3` memory sweeps instead of `log₂N`.
+    /// The planned product: cache-blocked radix-4/8 fused stages
+    /// ([`crate::fused`]), identical arithmetic in `≈ log₂N/3` memory
+    /// sweeps instead of `log₂N`, on every worker the calling width
+    /// grants ([`crate::schedule::span_workers`]); `with_threads(1, …)`
+    /// pins it serial.
     Fused,
 }
 
@@ -182,37 +188,26 @@ pub struct Fmmp {
     nu: u32,
     p: f64,
     variant: FmmpVariant,
-    /// Run the span-parallel plan where the calling width allows
-    /// ([`Fmmp::new`]); the explicit constructors pin a serial variant.
-    span_parallel: bool,
 }
 
 impl Fmmp {
-    /// Create the operator for chain length `nu` and error rate `p`. The
-    /// kernel plan follows the width each apply runs at
-    /// ([`crate::schedule::threads`]):
-    ///
-    /// * the span-parallel fused plan ([`crate::parallel`]) wherever
-    ///   [`span_workers`](crate::schedule::span_workers) grants the calling
-    ///   thread more than one worker;
-    /// * otherwise the serial fused kernel ([`FmmpVariant::Fused`]), at
-    ///   every length: it beats the staged loop from the shortest measured
-    ///   vector on (DESIGN.md, "Kernel plan").
-    ///
-    /// Every plan gives the same product bit for bit.
+    /// Create the operator for chain length `nu` and error rate `p`: the
+    /// fused plan ([`FmmpVariant::Fused`]) at every length — it beats the
+    /// staged loop from the shortest measured vector on (DESIGN.md,
+    /// "Kernel plan") — on [`span_workers`] workers at the width each
+    /// apply runs at ([`crate::schedule::threads`]): span-parallel
+    /// wherever that grants more than one, else on the calling thread.
+    /// Every width gives the same product bit for bit.
     ///
     /// # Panics
     ///
     /// Panics unless `ν ≥ 1` and `0 < p ≤ 1/2`.
     pub fn new(nu: u32, p: f64) -> Self {
-        Fmmp {
-            span_parallel: true,
-            ..Self::fused(nu, p)
-        }
+        Self::with_variant(nu, p, FmmpVariant::Fused)
     }
 
-    /// Create with an explicit loop-structure variant, run serially
-    /// whatever the width.
+    /// Create with an explicit loop-structure variant; every variant but
+    /// `Fused` runs serially whatever the width.
     ///
     /// # Panics
     ///
@@ -224,23 +219,7 @@ impl Fmmp {
             p.is_finite() && p > 0.0 && p <= 0.5,
             "error rate must satisfy 0 < p ≤ 1/2"
         );
-        Fmmp {
-            nu,
-            p,
-            variant,
-            span_parallel: false,
-        }
-    }
-
-    /// Create the fused cache-blocked operator ([`FmmpVariant::Fused`])
-    /// whatever the length, run serially whatever the width: bit-identical
-    /// product, fewer memory sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ν ≥ 1` and `0 < p ≤ 1/2`.
-    pub fn fused(nu: u32, p: f64) -> Self {
-        Self::with_variant(nu, p, FmmpVariant::Fused)
+        Fmmp { nu, p, variant }
     }
 
     /// Build from a [`qs_mutation::Uniform`] model.
@@ -259,49 +238,15 @@ impl Fmmp {
         self.p
     }
 
-    /// Workers the span-parallel plan gets for one apply on the calling
-    /// thread; `≤ 1` runs the serial variant.
-    fn span_workers(&self) -> usize {
-        if self.span_parallel {
-            crate::schedule::span_workers(self.len())
-        } else {
-            1
-        }
-    }
-
-    /// The fused plans, with a power step's `head` (if any) riding the
-    /// first pass: span-parallel on `workers > 1`, else the serial fused
-    /// kernel. An enabled probe gets the dispatch and one
-    /// `fmmp-fused-pass` event per *memory pass* (the unit of work fusion
-    /// changes), not per logical stage.
-    fn run_fused(
-        &self,
-        v: &mut [f64],
-        head: Option<crate::fused::StepHead<'_>>,
-        workers: usize,
-        probe: &mut dyn Probe,
-    ) {
-        if workers > 1 {
-            return crate::parallel::fmmp_span_parallel(v, head, self.p, workers, probe);
-        }
-        if probe.enabled() {
-            record_serial_dispatch(probe);
-        }
-        let bf = crate::fused::MixButterfly::new(self.p);
-        crate::fused::span_in_place(v, 1, bf, head, probe, "fmmp-fused-pass");
-    }
-
-    /// Whether an apply on `workers` runs a fused plan whose first pass
-    /// can carry a power step's head: every fused plan of at least 8
-    /// elements.
-    fn carries_head(&self, workers: usize) -> bool {
-        let n = self.len();
-        if workers > 1 {
-            crate::fused::carries_head(&crate::parallel::par_plan(n, workers))
-        } else {
-            self.variant == FmmpVariant::Fused
-                && crate::fused::carries_head(&crate::fused::FusedPlan::new(n, 1))
-        }
+    /// The fused plan on the workers the calling width grants, with a
+    /// power step's `head` (if any) riding the first pass. An enabled
+    /// probe gets the dispatch and one `fmmp-fused-pass` event per
+    /// *memory pass* (the unit of work fusion changes), not per logical
+    /// stage.
+    fn run_planned(&self, v: &mut [f64], head: Option<StepHead<'_>>, probe: &mut dyn Probe) {
+        let workers = span_workers(v.len()).max(1);
+        let bf = MixButterfly::new(self.p);
+        run_fused(v, bf, head, workers, probe, "fmmp-fused-pass");
     }
 }
 
@@ -327,12 +272,11 @@ impl LinearOperator for Fmmp {
 
     fn apply_in_place_probed(&self, v: &mut [f64], probe: &mut dyn Probe) {
         assert_eq!(v.len(), self.len(), "apply_in_place: length mismatch");
-        let workers = self.span_workers();
-        if workers > 1 || self.variant == FmmpVariant::Fused {
-            return self.run_fused(v, None, workers, probe);
+        if self.variant == FmmpVariant::Fused {
+            return self.run_planned(v, None, probe);
         }
         if probe.enabled() {
-            record_serial_dispatch(probe);
+            record_dispatch(probe, 1, 1);
         }
         let p = self.p;
         match self.variant {
@@ -349,13 +293,12 @@ impl LinearOperator for Fmmp {
             FmmpVariant::Eq10 => time_stage(probe, "fmmp", || fmmp_in_place_eq10(v, p)),
             FmmpVariant::Recursive => time_stage(probe, "fmmp", || fmmp_recursive(v, p)),
             FmmpVariant::Kernel => time_stage(probe, "fmmp", || fmmp_kernel_form(v, p)),
-            FmmpVariant::Fused => unreachable!("the fused variant runs the fused plan"),
+            FmmpVariant::Fused => unreachable!("the fused variant runs the executor"),
         }
     }
 
-    /// Wherever the plan is fused (the serial fused variant and every
-    /// span-parallel apply) and at least 8 elements long, the step head
-    /// runs inside the stride-1 radix-8 block kernel of the first pass
+    /// On the fused plan from 8 elements, the step head runs inside the
+    /// stride-1 radix-8 block kernel of the first pass
     /// ([`crate::fused::StepHead`]), tile by tile and on every worker; the
     /// probe sees the same events as
     /// [`LinearOperator::apply_in_place_probed`]. Shorter vectors and the
@@ -368,23 +311,14 @@ impl LinearOperator for Fmmp {
         diag: Option<&[f64]>,
         probe: &mut dyn Probe,
     ) {
-        let workers = self.span_workers();
-        if !self.carries_head(workers) {
+        // Every plan of 8 or more elements opens with the stride-1
+        // radix-8 group, whatever its tile (`FusedPass::head_tile`).
+        if self.variant != FmmpVariant::Fused || self.len() < 8 {
             return crate::apply_step_unfused(self, y, x, scale, diag, probe);
         }
         crate::check_step(self.len(), y, x, diag);
-        let head = crate::fused::StepHead { x, scale, diag };
-        self.run_fused(y, Some(head), workers, probe);
+        self.run_planned(y, Some(StepHead { x, scale, diag }), probe);
     }
-}
-
-/// Report a serial apply's dispatch: the ISA, one worker, one span.
-fn record_serial_dispatch(probe: &mut dyn Probe) {
-    probe.record(&qs_telemetry::SolverEvent::KernelDispatch {
-        isa: crate::simd::active().name(),
-        threads: 1,
-        spans: 1,
-    });
 }
 
 #[cfg(test)]
@@ -544,16 +478,11 @@ mod tests {
         for nu in [1u32, 3, 8, 13, 17, 24] {
             assert_eq!(Fmmp::new(nu, 0.01).variant, FmmpVariant::Fused, "ν={nu}");
         }
-        // The explicit constructors override the plan at every length.
+        // The explicit constructor overrides the plan at every length.
         assert_eq!(
             Fmmp::with_variant(24, 0.01, FmmpVariant::Iterative).variant,
             FmmpVariant::Iterative
         );
-        assert_eq!(Fmmp::fused(4, 0.01).variant, FmmpVariant::Fused);
-        // Only the planned engine may go span-parallel.
-        assert!(Fmmp::new(4, 0.01).span_parallel);
-        assert!(!Fmmp::fused(24, 0.01).span_parallel);
-        assert!(!Fmmp::with_variant(24, 0.01, FmmpVariant::Iterative).span_parallel);
     }
 
     #[test]
@@ -602,7 +531,7 @@ mod tests {
                             )
                         })
                         .count();
-                    assert_eq!(passes, crate::parallel::par_plan(n, workers).passes().len());
+                    assert_eq!(passes, crate::schedule::par_plan(n, workers).passes().len());
                 }
             }
         });
@@ -614,7 +543,7 @@ mod tests {
         // bench harness must see identical flop counts.
         for nu in [4u32, 10, 16] {
             assert_eq!(
-                Fmmp::fused(nu, 0.1).flops_estimate(),
+                Fmmp::with_variant(nu, 0.1, FmmpVariant::Iterative).flops_estimate(),
                 Fmmp::new(nu, 0.1).flops_estimate()
             );
         }

@@ -1,4 +1,4 @@
-//! Fused multi-stage butterfly kernels and batched (multi-vector) apply.
+//! Fused multi-stage butterfly kernels and the pass plan they run in.
 //!
 //! The reference transforms ([`crate::fmmp::fmmp_in_place`],
 //! [`crate::fwht::fwht_in_place`]) sweep the whole vector once per stage:
@@ -27,13 +27,11 @@
 //!
 //! Both the mutation butterfly `(q·a + p·b, p·a + q·b)` and the Hadamard
 //! butterfly `(a + b, a − b)` share the stage structure, so the kernels are
-//! generic over a [`Butterfly`]. The same machinery serves the **batched**
-//! product: the slab keeps its natural column-major layout (`k` contiguous
-//! vectors) and the planned passes run **column-blocked** — every column's
-//! copy of a cache tile is transformed before the schedule advances to the
-//! next tile — so the per-column cost matches the single-vector fused path
-//! and no interleaved scratch slab (or its two transposition sweeps) is
-//! ever materialised.
+//! generic over a [`Butterfly`]. [`FusedPlan`] lists a product's passes and
+//! [`run_pass`] runs one of them; the one executor of a whole plan, at any
+//! worker count, is [`crate::schedule::run_fused`]. Several vectors (a
+//! sweep's columns) are transformed one after another, each by its own
+//! plan.
 //!
 //! All inner butterflies are **register-blocked**: the fibre loops walk
 //! `chunks_exact` lanes of fixed width (8 for radix-2, 4 for radix-4/8),
@@ -61,7 +59,8 @@
 //! head adds no traversal to the first pass of any plan of 8 or more
 //! elements.
 
-use crate::{time_stage, NullProbe, Probe};
+use crate::schedule::run_fused;
+use crate::NullProbe;
 
 /// Tile size (in `f64` elements) for the cache-blocked phase: 2¹³ doubles
 /// = 64 KiB, small enough to sit in L1/L2 on current hardware while each
@@ -359,7 +358,7 @@ pub(crate) fn radix2_stage<B: Butterfly>(v: &mut [f64], i: usize, bf: B) {
 /// Per element the arithmetic is exactly "stage `i` then stage `2i`", so
 /// the result is bit-for-bit identical to running [`radix2_stage`] twice.
 #[inline]
-pub(crate) fn radix4_stage<B: Butterfly>(v: &mut [f64], i: usize, bf: B) {
+fn radix4_stage<B: Butterfly>(v: &mut [f64], i: usize, bf: B) {
     for block in v.chunks_exact_mut(4 * i) {
         let (f0, rest) = block.split_at_mut(i);
         let (f1, rest) = rest.split_at_mut(i);
@@ -461,7 +460,7 @@ pub(crate) fn radix8_blocks_head<B: Butterfly>(
 /// ([`radix8_blocks_head`], on the matching windows of `x` and `diag`),
 /// then the rest of the ladder up to stride `tile/2` while the window is
 /// cache-resident. This is the whole first pass of a plan that
-/// [`carries_head`] (`tile` from [`FusedPass::head_tile`]), or one
+/// can carry a head (`tile` from [`FusedPass::head_tile`]), or one
 /// span-schedule unit of it. A `tile` of 8 is the bare radix-8 group,
 /// which never leaves its block, so `v` then goes to the kernel in one
 /// call.
@@ -484,7 +483,7 @@ pub(crate) fn head_ladder<B: Butterfly>(
     }
 }
 
-/// One memory pass of a fused span, as planned by [`plan_span`].
+/// One memory pass of a fused plan ([`FusedPlan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedPass {
     /// All stages with stride in `base..tile/2` executed tile-locally: one
@@ -492,8 +491,7 @@ pub enum FusedPass {
     Tile {
         /// Tile size in elements.
         tile: usize,
-        /// Smallest stage stride (1 for a single vector, `k` for a
-        /// `k`-way interleaved batch).
+        /// Smallest stage stride (1 for a whole product).
         base: usize,
     },
     /// Three stages (`stride`, `2·stride`, `4·stride`) fused in one pass.
@@ -536,12 +534,34 @@ impl FusedPass {
             FusedPass::Radix2 { .. } => 1,
         }
     }
+
+    /// The aligned chunk of elements this pass never splits: its tile, or
+    /// the `radix · stride` block of a radix pass.
+    pub(crate) fn block(self) -> usize {
+        match self {
+            FusedPass::Tile { tile, .. } => tile,
+            FusedPass::Radix8 { stride } => 8 * stride,
+            FusedPass::Radix4 { stride } => 4 * stride,
+            FusedPass::Radix2 { stride } => 2 * stride,
+        }
+    }
+
+    /// A radix pass's fibres: `(radix, stride)`, the pass's block being
+    /// `radix` fibres of `stride` elements. `None` for a tiled pass.
+    pub(crate) fn fibres(self) -> Option<(usize, usize)> {
+        match self {
+            FusedPass::Tile { .. } => None,
+            FusedPass::Radix8 { stride } => Some((8, stride)),
+            FusedPass::Radix4 { stride } => Some((4, stride)),
+            FusedPass::Radix2 { stride } => Some((2, stride)),
+        }
+    }
 }
 
 /// Ladder of radix-fused stages from stride `i` up to `top` inclusive,
 /// without tiling. `top / i` must be a power of two (or `top < i`, a
 /// no-op).
-pub(crate) fn radix_ladder<B: Butterfly>(v: &mut [f64], mut i: usize, top: usize, bf: B) {
+fn radix_ladder<B: Butterfly>(v: &mut [f64], mut i: usize, top: usize, bf: B) {
     while i <= top {
         if 4 * i <= top {
             radix8_stage(v, i, bf);
@@ -558,14 +578,13 @@ pub(crate) fn radix_ladder<B: Butterfly>(v: &mut [f64], mut i: usize, top: usize
 
 /// Upper bound on passes any plan can need: one tiled pass plus a radix
 /// ladder over at most 63 remaining stages grouped ≥ 1 stage per pass
-/// never exceeds this on 64-bit lengths.
-const MAX_FUSED_PASSES: usize = 24;
+/// never exceeds this on 64-bit lengths. It also sizes the span
+/// schedule's per-pass claim state.
+pub(crate) const MAX_FUSED_PASSES: usize = 24;
 
 /// A complete pass schedule held inline — `Copy`, fixed-size, and built
 /// without touching the heap, so planning can sit inside the per-apply
 /// hot path of a solver iteration without allocating.
-///
-/// [`plan_span`] is the `Vec`-returning convenience wrapper around this.
 #[derive(Debug, Clone, Copy)]
 pub struct FusedPlan {
     passes: [FusedPass; MAX_FUSED_PASSES],
@@ -573,15 +592,22 @@ pub struct FusedPlan {
 }
 
 impl FusedPlan {
-    /// Plan stage strides `base, 2·base, …, len/2` with the default
-    /// [`FUSED_TILE`] cache tile. See [`plan_span`] for the contract.
+    /// Plan the memory passes covering stage strides `base, 2·base, …,
+    /// len/2` with the default [`FUSED_TILE`] cache tile.
+    ///
+    /// Equivalent stage-for-stage to the reference ascending loop; the
+    /// plan only groups stages into passes. `len / (2·base)` must be a
+    /// power of two. Tiling is used when the vector exceeds the tile and
+    /// the tile aligns with both the block size `2·base` and the vector
+    /// length (always true for `base = 1`; otherwise the plan may fall
+    /// back to untiled radix-fused passes).
     pub fn new(len: usize, base: usize) -> Self {
         Self::with_tile(len, base, FUSED_TILE)
     }
 
-    /// As [`FusedPlan::new`] with an explicit tile size (the parallel
-    /// backend shrinks the tile so one tiled pass yields at least one
-    /// tile per worker). Any power-of-two tile produces the same
+    /// As [`FusedPlan::new`] with an explicit tile size (a span schedule
+    /// shrinks the tile so one tiled pass yields at least one tile per
+    /// worker). Any power-of-two tile produces the same
     /// bit-identical result — tiling only regroups stages into passes,
     /// never changes the per-element arithmetic.
     pub fn with_tile(len: usize, base: usize, tile: usize) -> Self {
@@ -626,19 +652,6 @@ impl FusedPlan {
     }
 }
 
-/// Plan the memory passes covering stage strides `base, 2·base, …, len/2`.
-///
-/// Equivalent stage-for-stage to the reference ascending loop; the plan
-/// only groups stages into passes. `len / (2·base)` must be a power of
-/// two. Tiling is used when the vector exceeds [`FUSED_TILE`] and the tile
-/// aligns with both the block size `2·base` and the vector length (always
-/// true for a single power-of-two vector; for a `k`-way interleaved span
-/// this requires `k` to be a power of two, otherwise the plan falls back
-/// to untiled radix-fused passes).
-pub fn plan_span(len: usize, base: usize) -> Vec<FusedPass> {
-    FusedPlan::new(len, base).passes().to_vec()
-}
-
 /// Execute one planned pass.
 pub fn run_pass<B: Butterfly>(v: &mut [f64], pass: FusedPass, bf: B) {
     match pass {
@@ -650,34 +663,6 @@ pub fn run_pass<B: Butterfly>(v: &mut [f64], pass: FusedPass, bf: B) {
         FusedPass::Radix8 { stride } => radix8_stage(v, stride, bf),
         FusedPass::Radix4 { stride } => radix4_stage(v, stride, bf),
         FusedPass::Radix2 { stride } => radix2_stage(v, stride, bf),
-    }
-}
-
-/// Full fused span: all stages with strides `base, 2·base, …,
-/// v.len()/2`, planned inline ([`FusedPlan`]) — no heap allocation per
-/// apply. A power step's `head` (if any) folds into the first pass
-/// ([`head_ladder`]), which must then carry it ([`carries_head`]). An
-/// enabled `probe` times each memory pass as one `label` stage; the first
-/// pass's event covers the head.
-pub(crate) fn span_in_place<B: Butterfly>(
-    v: &mut [f64],
-    base: usize,
-    bf: B,
-    head: Option<StepHead<'_>>,
-    probe: &mut dyn Probe,
-    label: &'static str,
-) {
-    let plan = FusedPlan::new(v.len(), base);
-    let mut passes = plan.passes();
-    if let Some(h) = head {
-        let tile = passes[0].head_tile().expect(NO_HEAD);
-        time_stage(probe, label, || {
-            head_ladder(v, h.x, h.scale, h.diag, tile, bf)
-        });
-        passes = &passes[1..];
-    }
-    for &pass in passes {
-        time_stage(probe, label, || run_pass(v, pass, bf));
     }
 }
 
@@ -699,18 +684,9 @@ pub struct StepHead<'a> {
     pub diag: Option<&'a [f64]>,
 }
 
-/// Whether `plan` can carry a [`StepHead`]: its first pass starts with
-/// the stride-1 radix-8 group ([`FusedPass::head_tile`]) — every
-/// single-vector plan of at least 8 elements.
-pub(crate) fn carries_head(plan: &FusedPlan) -> bool {
-    plan.passes()
-        .first()
-        .is_some_and(|p| p.head_tile().is_some())
-}
-
 /// Fused-kernel `v ← Q(ν)·v`: same arithmetic as
 /// [`crate::fmmp::fmmp_in_place`] in `≈ log₂N/3` memory sweeps instead of
-/// `log₂N`.
+/// `log₂N`, on the calling thread ([`run_fused`] at one worker).
 ///
 /// # Panics
 ///
@@ -719,11 +695,12 @@ pub fn fmmp_in_place_fused(v: &mut [f64], p: f64) {
     let n = v.len();
     assert!(n.is_power_of_two() && n >= 2, "length must be 2^ν, ν ≥ 1");
     let bf = MixButterfly::new(p);
-    span_in_place(v, 1, bf, None, &mut NullProbe, "fmmp-fused-pass");
+    run_fused(v, bf, None, 1, &mut NullProbe, "fmmp-fused-pass");
 }
 
 /// Fused-kernel unnormalised FWHT: same arithmetic as
-/// [`crate::fwht::fwht_in_place`] in fewer memory sweeps.
+/// [`crate::fwht::fwht_in_place`] in fewer memory sweeps, on the calling
+/// thread ([`run_fused`] at one worker).
 ///
 /// # Panics
 ///
@@ -731,90 +708,14 @@ pub fn fmmp_in_place_fused(v: &mut [f64], p: f64) {
 pub fn fwht_in_place_fused(v: &mut [f64]) {
     let n = v.len();
     assert!(n.is_power_of_two() && n >= 2, "length must be 2^ν, ν ≥ 1");
-    let bf = HadamardButterfly;
-    span_in_place(v, 1, bf, None, &mut NullProbe, "fwht-fused-pass");
-}
-
-/// Transpose a column-major slab (`k` contiguous vectors of `n` elements)
-/// into element-interleaved order: `dst[i·k + l] = src[l·n + i]`.
-pub fn interleave(src: &[f64], k: usize, dst: &mut [f64]) {
-    assert!(k >= 1 && src.len().is_multiple_of(k) && src.len() == dst.len());
-    let n = src.len() / k;
-    for (l, col) in src.chunks_exact(n).enumerate() {
-        for (i, &x) in col.iter().enumerate() {
-            dst[i * k + l] = x;
-        }
-    }
-}
-
-/// Inverse of [`interleave`]: `dst[l·n + i] = src[i·k + l]`.
-pub fn deinterleave(src: &[f64], k: usize, dst: &mut [f64]) {
-    assert!(k >= 1 && src.len().is_multiple_of(k) && src.len() == dst.len());
-    let n = src.len() / k;
-    for (l, col) in dst.chunks_exact_mut(n).enumerate() {
-        for (i, x) in col.iter_mut().enumerate() {
-            *x = src[i * k + l];
-        }
-    }
-}
-
-/// Batched `Q(ν)` product: `slab` holds `k` contiguous vectors of equal
-/// power-of-two length and each is replaced by `Q·vⱼ`. The slab keeps its
-/// column-major layout and the fused pass schedule is executed
-/// column-blocked: every column's copy of a cache tile is transformed
-/// before the schedule moves to the next tile, and each global radix pass
-/// sweeps the columns back-to-back. The per-column work is therefore
-/// exactly the single-vector fused kernel — no interleaved scratch slab,
-/// no transposition sweeps, no allocation.
-/// Bit-for-bit identical to `k` independent [`fmmp_in_place_fused`] calls.
-///
-/// # Panics
-///
-/// Panics unless `slab.len() = k·2^ν` with `ν ≥ 1, k ≥ 1`.
-pub fn fmmp_batch_in_place(slab: &mut [f64], k: usize, p: f64) {
-    batch_span(slab, k, MixButterfly::new(p));
-}
-
-/// Batched unnormalised FWHT over `k` contiguous vectors; see
-/// [`fmmp_batch_in_place`] for the layout contract.
-///
-/// # Panics
-///
-/// Panics unless `slab.len() = k·2^ν` with `ν ≥ 1, k ≥ 1`.
-pub fn fwht_batch_in_place(slab: &mut [f64], k: usize) {
-    batch_span(slab, k, HadamardButterfly);
-}
-
-fn batch_span<B: Butterfly>(slab: &mut [f64], k: usize, bf: B) {
-    assert!(
-        k >= 1 && slab.len().is_multiple_of(k),
-        "slab must hold k vectors"
+    run_fused(
+        v,
+        HadamardButterfly,
+        None,
+        1,
+        &mut NullProbe,
+        "fwht-fused-pass",
     );
-    let n = slab.len() / k;
-    assert!(n.is_power_of_two() && n >= 2, "length must be 2^ν, ν ≥ 1");
-    if k == 1 {
-        return span_in_place(slab, 1, bf, None, &mut NullProbe, "fused-pass");
-    }
-    // Column-blocked schedule: one per-column plan, tile loop outermost.
-    // Each column runs the identical pass sequence as the single-vector
-    // span, so bit-identity per column is structural.
-    let plan = FusedPlan::new(n, 1);
-    for &pass in plan.passes() {
-        match pass {
-            FusedPass::Tile { tile, base } => {
-                for t in 0..n / tile {
-                    for col in slab.chunks_exact_mut(n) {
-                        radix_ladder(&mut col[t * tile..(t + 1) * tile], base, tile / 2, bf);
-                    }
-                }
-            }
-            pass => {
-                for col in slab.chunks_exact_mut(n) {
-                    run_pass(col, pass, bf);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -870,7 +771,11 @@ mod tests {
     fn plan_covers_every_stage_exactly_once() {
         for nu in 1..=22u32 {
             let n = 1usize << nu;
-            let total: u32 = plan_span(n, 1).iter().map(|p| p.stages()).sum();
+            let total: u32 = FusedPlan::new(n, 1)
+                .passes()
+                .iter()
+                .map(|p| p.stages())
+                .sum();
             assert_eq!(total, nu, "ν={nu}: plan must absorb all ν stages");
         }
     }
@@ -878,7 +783,8 @@ mod tests {
     #[test]
     fn plan_cuts_sweeps_to_a_third() {
         // ν = 20: one tiled sweep (13 stages) + ceil(7/3) global passes.
-        let passes = plan_span(1 << 20, 1);
+        let plan = FusedPlan::new(1 << 20, 1);
+        let passes = plan.passes();
         assert!(
             passes.len() <= 4,
             "ν=20 should need ≤ 4 sweeps, planned {passes:?}"
@@ -888,24 +794,13 @@ mod tests {
 
     #[test]
     fn plan_skips_tiling_when_base_does_not_divide_the_tile() {
-        // k = 3 interleaved lanes: tile alignment impossible, fall back to
-        // untiled radix passes over the whole slab.
-        let passes = plan_span(3 << 14, 3);
+        // Base stride 3: tile alignment impossible, fall back to untiled
+        // radix passes over the whole vector.
+        let plan = FusedPlan::new(3 << 14, 3);
+        let passes = plan.passes();
         assert!(passes.iter().all(|p| !matches!(p, FusedPass::Tile { .. })));
         let total: u32 = passes.iter().map(|p| p.stages()).sum();
         assert_eq!(total, 14);
-    }
-
-    #[test]
-    fn interleave_roundtrip() {
-        let slab = random_vector(5 * 16, 9);
-        let mut ilv = vec![0.0; slab.len()];
-        interleave(&slab, 5, &mut ilv);
-        let mut back = vec![0.0; slab.len()];
-        deinterleave(&ilv, 5, &mut back);
-        assert_eq!(slab, back);
-        // Spot-check the layout: element i of vector l sits at i·k + l.
-        assert_eq!(ilv[3 * 5 + 2], slab[2 * 16 + 3]);
     }
 
     #[test]
@@ -925,83 +820,6 @@ mod tests {
             }
             assert_eq!(want, got, "tile=2^{tile_log}");
         }
-    }
-
-    #[test]
-    fn inline_plan_matches_vec_plan() {
-        for nu in 1..=22u32 {
-            let n = 1usize << nu;
-            assert_eq!(FusedPlan::new(n, 1).passes(), plan_span(n, 1).as_slice());
-        }
-        assert_eq!(
-            FusedPlan::new(3 << 14, 3).passes(),
-            plan_span(3 << 14, 3).as_slice()
-        );
-    }
-
-    #[test]
-    fn batch_matches_independent_applies() {
-        for &(nu, k) in &[
-            (1u32, 1usize),
-            (4, 2),
-            (6, 3),
-            (9, 4),
-            (11, 7),
-            (13, 8),
-            (15, 3),
-        ] {
-            let n = 1usize << nu;
-            let p = 0.043;
-            let mut slab = random_vector(n * k, 1000 + nu as u64 + k as u64);
-            let mut want = slab.clone();
-            for col in want.chunks_exact_mut(n) {
-                fmmp_in_place(col, p);
-            }
-            fmmp_batch_in_place(&mut slab, k, p);
-            assert_eq!(want, slab, "ν={nu} k={k}");
-
-            let mut slab = random_vector(n * k, 2000 + nu as u64 + k as u64);
-            let mut want = slab.clone();
-            for col in want.chunks_exact_mut(n) {
-                fwht_in_place(col);
-            }
-            fwht_batch_in_place(&mut slab, k);
-            assert_eq!(want, slab, "fwht ν={nu} k={k}");
-        }
-    }
-
-    #[test]
-    fn probed_span_reports_one_event_per_pass() {
-        use qs_telemetry::{RecordingProbe, SolverEvent};
-        let n = 1usize << 10;
-        let x = random_vector(n, 77);
-        let mut plain = x.clone();
-        fmmp_in_place(&mut plain, 0.2);
-        let mut rec = RecordingProbe::new();
-        let mut probed = x;
-        span_in_place(
-            &mut probed,
-            1,
-            MixButterfly::new(0.2),
-            None,
-            &mut rec,
-            "fused-pass",
-        );
-        assert_eq!(plain, probed);
-        let timed = rec
-            .events()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    SolverEvent::MatvecTimed {
-                        stage: "fused-pass",
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(timed, plan_span(n, 1).len());
     }
 
     #[test]

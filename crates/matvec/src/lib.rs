@@ -21,15 +21,18 @@
 //!   4-letter alphabet of Section 5.2).
 //! * [`ops`] — operator composition: the three eigenproblem formulations
 //!   `Q·F`, `F^½·Q·F^½`, `F·Q` (paper Eqs. 3–5) and spectral shifts.
-//! * [`parallel`] — the span-parallel Fmmp plan standing in for the
-//!   paper's OpenCL/GPU implementation: the same `ID`-indexed butterfly
-//!   decomposition (Algorithm 2), executed by the chunk-stealing span
-//!   schedule of [`schedule`] on one scoped set of workers per apply.
-//!   [`Fmmp::new`] runs it whenever the calling thread's width has
-//!   workers to spare.
+//! * [`fused`] — the cache-blocked radix-4/8 butterfly kernels and the
+//!   pass plan ([`FusedPlan`]) every fused product runs.
+//! * [`schedule`] — the one executor of a fused plan
+//!   ([`schedule::run_fused`]): the plan's passes in order on the calling
+//!   thread, or, standing in for the paper's OpenCL/GPU implementation,
+//!   the same `ID`-indexed butterfly decomposition (Algorithm 2) on the
+//!   chunk-stealing span schedule, one scoped set of workers per apply.
+//!   [`Fmmp::new`] runs it on as many workers as the calling thread's
+//!   width grants.
 //! * [`simd`] — runtime-dispatched AVX2/AVX-512 fibre kernels (with the
-//!   portable scalar loops as fallback and reference) shared by the
-//!   serial, parallel, fused and batched paths.
+//!   portable scalar loops as fallback and reference) that every fused
+//!   pass runs, at every worker count.
 //!
 //! All engines implement [`LinearOperator`] and are verified against each
 //! other and against dense materialisations in the test suite.
@@ -47,7 +50,6 @@ pub mod fused;
 pub mod fwht;
 pub mod kron;
 pub mod ops;
-pub mod parallel;
 pub mod permuted;
 pub mod schedule;
 pub mod shift_invert;
@@ -56,10 +58,7 @@ pub mod smvp;
 pub mod xmvp;
 
 pub use fmmp::{Fmmp, FmmpVariant};
-pub use fused::{
-    fmmp_batch_in_place, fmmp_in_place_fused, fwht_batch_in_place, fwht_in_place_fused, FusedPlan,
-    FUSED_TILE,
-};
+pub use fused::{fmmp_in_place_fused, fwht_in_place_fused, FusedPlan, FUSED_TILE};
 pub use fwht::Fwht;
 pub use kron::KroneckerOp;
 pub use ops::{

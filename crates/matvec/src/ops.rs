@@ -437,7 +437,7 @@ mod tests {
         let (y0, x0) = (random_vector(n, 3), random_vector(n, 4));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for engine in [
-            Fmmp::fused(nu, p),
+            Fmmp::new(nu, p),
             Fmmp::with_variant(nu, p, crate::FmmpVariant::Iterative),
         ] {
             for form in [

@@ -1,21 +1,32 @@
-//! Chunk-stealing span schedule for the parallel butterfly transforms,
-//! and the workspace's one spawner and thread width.
+//! The one executor of a fused butterfly plan, its chunk-stealing span
+//! schedule, and the workspace's one spawner and thread width.
+//!
+//! The paper's Algorithm 2 is a host loop over the butterfly stages and
+//! `N/2` independent butterflies per stage, indexed by thread id; its
+//! "CPU" and "GPU" rows differ only in how many threads run them. So does
+//! [`run_fused`], the only code that runs a [`FusedPlan`]'s passes: at one
+//! worker it runs them in order on the calling thread, and above one it
+//! runs them under the schedule below. [`crate::Fmmp`] (at the calling
+//! width), the fused FWHT and Fmmp helpers, the shift-invert and sweep
+//! products, and the benchmarks' forced-width rows all call it.
 //!
 //! An earlier parallel backend issued one fork–join per radix pass. At
 //! small ν that join overhead dominates — BENCH_matvec.json showed the
 //! 2-thread staged path regressing 4.5 → 20.5 ns/element at ν = 14 — and
-//! even at large ν every pass pays a wake-up and barrier. This module
-//! replaces that with one scoped set of workers per apply and a
-//! claim-counter stealing schedule inside it:
+//! even at large ν every pass pays a wake-up and barrier. Above one
+//! worker the executor instead uses one scoped set of workers per apply
+//! and a claim-counter stealing schedule inside it:
 //!
 //! 1. **One scope, all passes.** The caller enters [`on_workers`] once;
 //!    `workers − 1` helper threads are spawned and the calling thread
 //!    works inline as worker 0. Every pass of the plan runs inside that
 //!    one scope — no per-pass join.
 //! 2. **Thread-affine spans with stealing.** Each pass is cut into
-//!    equal-size independent *units* (see [`LayoutKind`]). Worker `w` owns
-//!    the contiguous unit range `[w·U/W, (w+1)·U/W)` and drains it through
-//!    a per-worker atomic claim cursor, so on every pass the same worker
+//!    equal-size independent *units*: contiguous chunks that never split
+//!    a block, or, for a late radix pass with fewer blocks than workers,
+//!    equal segments of every fibre of a block. Worker `w` owns the
+//!    contiguous unit range `[w·U/W, (w+1)·U/W)` and drains it through a
+//!    per-worker atomic claim cursor, so on every pass the same worker
 //!    touches the same region of the vector first (cache- and
 //!    first-touch-affine). Only after its own range is empty does it
 //!    advance round-robin through the other workers' cursors and steal
@@ -30,8 +41,8 @@
 //!    ever runs.
 //! 4. **Serial below threshold.** [`span_workers`] returns ≤ 1 unless
 //!    every worker would get at least [`MIN_WORKER_SPAN`] elements;
-//!    callers then take the plain serial path. This is the measured fix
-//!    for the ν ≤ 14 regression: a transform that fits in L2 cannot
+//!    [`run_fused`] then builds no schedule at all. This is the measured
+//!    fix for the ν ≤ 14 regression: a transform that fits in L2 cannot
 //!    amortise any cross-thread coordination.
 //!
 //! **Safety.** Units within a pass address pairwise-disjoint element
@@ -42,10 +53,10 @@
 //! step's head ([`StepHead`]) rides the first pass: each unit also
 //! writes the matching window of the step's `x` and reads the matching
 //! window of its diagonal, disjoint across units like the units
-//! themselves. Unit execution calls the same `radix*_stage` /
-//! `radix*_lanes` kernels as the serial path on the same element
-//! groupings, so bit-identity with the staged reference is preserved
-//! structurally.
+//! themselves. A contiguous unit runs [`crate::fused::run_pass`], the
+//! pass dispatch of the one-worker path, and a fibre segment the same
+//! `radix*_lanes` kernels on a shorter fibre, so bit-identity with the
+//! staged reference is preserved structurally.
 //!
 //! **Step reductions.** The power step's two reduction passes,
 //! [`span_shift_dot`] and [`span_step_norms`], run on the same machinery:
@@ -72,18 +83,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::fused::{
-    head_ladder, radix2_lanes, radix2_stage, radix4_lanes, radix4_stage, radix8_lanes,
-    radix8_stage, radix_ladder, Butterfly, FusedPass, StepHead, NO_HEAD,
+    head_ladder, radix2_lanes, radix4_lanes, radix8_lanes, run_pass, Butterfly, FusedPass,
+    FusedPlan, StepHead, FUSED_TILE, MAX_FUSED_PASSES, NO_HEAD,
 };
 use crate::simd::{block_dot, block_shift_dot, block_step_norms};
+use crate::{time_stage, Probe};
+use qs_telemetry::SolverEvent;
 
 /// Hard cap on cooperating workers; bounds the stack-resident claim
 /// matrix.
 pub const MAX_WORKERS: usize = 16;
-
-/// Hard cap on passes per schedule; fused plans on 64-bit lengths are
-/// far shorter.
-pub const MAX_PASSES: usize = 64;
 
 /// Target elements per claimable unit (2¹⁴ doubles = 128 KiB): big enough
 /// that one claim `fetch_add` is noise against the memory traffic, small
@@ -183,72 +192,62 @@ pub fn span_workers(n: usize) -> usize {
         .min(hardware_parallelism())
 }
 
-/// One memory pass of a span schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanPass {
-    /// A cache-tiled pass: every aligned `tile`-element chunk absorbs all
-    /// stage strides `base .. tile/2` locally (see
-    /// [`FusedPass::Tile`]).
-    Tile {
-        /// Tile size in elements.
-        tile: usize,
-        /// Smallest stage stride.
-        base: usize,
-    },
-    /// A radix-fused global pass over blocks of `radix · stride`
-    /// elements (`radix` ∈ {2, 4, 8} covering 1–3 stages).
-    Radix {
-        /// Smallest stride of the fused stage group.
-        stride: usize,
-        /// Block radix: 2, 4 or 8.
-        radix: usize,
-    },
+/// Smallest tile the thread-aware planner will shrink to; below this the
+/// tile no longer covers enough stages to amortise its traversal.
+const MIN_PAR_TILE: usize = 1 << 10;
+
+/// The fused pass plan [`run_fused`] runs on `workers` cooperating
+/// threads: [`FusedPlan::new`]`(n, 1)` at one worker.
+///
+/// The tiled pass parallelises over tiles, so the default 64 KiB tile
+/// ([`FUSED_TILE`]) starves wide schedules on mid-sized vectors
+/// (`n / tile < workers` leaves workers idle). Halve the tile until every
+/// worker gets at least one, never below `MIN_PAR_TILE`. Any power-of-two
+/// tile yields bit-identical results: regrouping stages into tiles never
+/// changes the per-element arithmetic or its order.
+pub(crate) fn par_plan(n: usize, workers: usize) -> FusedPlan {
+    let mut tile = FUSED_TILE;
+    while tile > MIN_PAR_TILE && n > tile && n / tile < workers {
+        tile /= 2;
+    }
+    FusedPlan::with_tile(n, 1, tile)
 }
 
 /// How a pass's independent work units map onto the vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutKind {
+enum LayoutKind {
     /// Unit `u` is the contiguous chunk
     /// `[u · unit_elems, (u+1) · unit_elems)`; `unit_elems` is a multiple
     /// of the pass's block (or tile) size, so chunks never split a block.
-    Contig {
-        /// Elements per unit.
-        unit_elems: usize,
-    },
+    Contig { unit_elems: usize },
     /// For radix passes with too few blocks to feed every worker: each
     /// block's fibres are cut into `segs` equal segments and unit `u`
     /// covers segment `u % segs` of every fibre of block `u / segs`.
     /// Fibre kernels are elementwise, so segmenting is exact.
-    FibreSeg {
-        /// Segments per fibre.
-        segs: usize,
-    },
+    FibreSeg { segs: usize },
 }
 
 /// One planned pass plus its unit decomposition.
 #[derive(Debug, Clone, Copy)]
 struct PassLayout {
-    pass: SpanPass,
+    pass: FusedPass,
     kind: LayoutKind,
     units: usize,
 }
 
 const NO_PASS: PassLayout = PassLayout {
-    pass: SpanPass::Radix {
-        stride: 0,
-        radix: 2,
-    },
+    pass: FusedPass::Radix2 { stride: 0 },
     kind: LayoutKind::Contig { unit_elems: 0 },
     units: 0,
 };
 
-/// A complete multi-pass schedule: `Copy`, fixed-size, heap-free — built
-/// per apply on the stack like [`crate::fused::FusedPlan`].
+/// A fused plan's passes laid out for `workers` cooperating threads:
+/// `Copy`, fixed-size, heap-free — built per apply on the stack like
+/// [`FusedPlan`].
 #[derive(Debug, Clone, Copy)]
-pub struct SpanSchedule {
-    passes: [PassLayout; MAX_PASSES],
+struct SpanSchedule {
+    passes: [PassLayout; MAX_FUSED_PASSES],
     count: usize,
-    n: usize,
     workers: usize,
     /// The first pass's [`FusedPass::head_tile`]: the window a step head
     /// rides in, if one can.
@@ -256,41 +255,20 @@ pub struct SpanSchedule {
 }
 
 impl SpanSchedule {
-    /// Schedule the fused pass list `passes` (from a
-    /// [`crate::fused::FusedPlan`] over a length-`n` vector with base
-    /// stride 1) across `workers` cooperating threads.
-    pub fn for_fused(n: usize, workers: usize, passes: &[FusedPass]) -> Self {
-        Self::for_fused_with(n, workers, passes, SPAN_UNIT)
-    }
-
-    /// As [`SpanSchedule::for_fused`] with an explicit unit-size target —
-    /// exercised by tests (and Miri) at small `n` where the production
-    /// [`SPAN_UNIT`] would collapse everything into one unit.
-    pub(crate) fn for_fused_with(
-        n: usize,
-        workers: usize,
-        passes: &[FusedPass],
-        unit_target: usize,
-    ) -> Self {
+    /// Lay out `passes` (from a [`FusedPlan`] over a length-`n` vector
+    /// with base stride 1) across `workers` threads, with contiguous units
+    /// of about `unit_target` elements ([`SPAN_UNIT`] in production; tests
+    /// and Miri shrink it so short vectors still get many units).
+    fn new(n: usize, workers: usize, passes: &[FusedPass], unit_target: usize) -> Self {
         assert!(n.is_power_of_two() && unit_target.is_power_of_two());
-        assert!(passes.len() <= MAX_PASSES);
         let workers = workers.clamp(1, MAX_WORKERS);
-        let mut out = [NO_PASS; MAX_PASSES];
-        let mut count = 0;
-        for &pass in passes {
-            let sp = match pass {
-                FusedPass::Tile { tile, base } => SpanPass::Tile { tile, base },
-                FusedPass::Radix8 { stride } => SpanPass::Radix { stride, radix: 8 },
-                FusedPass::Radix4 { stride } => SpanPass::Radix { stride, radix: 4 },
-                FusedPass::Radix2 { stride } => SpanPass::Radix { stride, radix: 2 },
-            };
-            out[count] = layout_pass(n, workers, sp, unit_target);
-            count += 1;
+        let mut out = [NO_PASS; MAX_FUSED_PASSES];
+        for (slot, &pass) in out.iter_mut().zip(passes) {
+            *slot = layout_pass(n, workers, pass, unit_target);
         }
         SpanSchedule {
             passes: out,
-            count,
-            n,
+            count: passes.len(),
             workers,
             head_tile: passes.first().and_then(|p| p.head_tile()),
         }
@@ -299,24 +277,15 @@ impl SpanSchedule {
     /// Total claimable units across all passes — the grain count the
     /// stealing scheduler distributes (reported in the `kernel_dispatch`
     /// telemetry event).
-    pub fn total_units(&self) -> usize {
+    fn total_units(&self) -> usize {
         self.passes[..self.count].iter().map(|p| p.units).sum()
-    }
-
-    /// Whether the first pass can carry a [`StepHead`] (see
-    /// [`crate::fused::carries_head`]).
-    pub(crate) fn carries_head(&self) -> bool {
-        self.head_tile.is_some()
     }
 }
 
-/// Decompose one pass into equal independent units (see [`LayoutKind`]).
-fn layout_pass(n: usize, workers: usize, pass: SpanPass, unit_target: usize) -> PassLayout {
+/// Decompose one pass into equal independent units (see `LayoutKind`).
+fn layout_pass(n: usize, workers: usize, pass: FusedPass, unit_target: usize) -> PassLayout {
     // The smallest contiguous chunk that never splits a block.
-    let grain = match pass {
-        SpanPass::Tile { tile, .. } => tile,
-        SpanPass::Radix { stride, radix } => radix * stride,
-    };
+    let grain = pass.block();
     debug_assert!(grain.is_power_of_two() && grain <= n && n.is_multiple_of(grain));
     // Contiguous units: start from the target size, shrink (never below
     // one block) until there are at least two units per worker to steal.
@@ -324,7 +293,7 @@ fn layout_pass(n: usize, workers: usize, pass: SpanPass, unit_target: usize) -> 
     while unit > grain && n / unit < 2 * workers {
         unit /= 2;
     }
-    if n / unit >= 2 * workers || matches!(pass, SpanPass::Tile { .. }) {
+    if n / unit >= 2 * workers || matches!(pass, FusedPass::Tile { .. }) {
         return PassLayout {
             pass,
             kind: LayoutKind::Contig { unit_elems: unit },
@@ -334,9 +303,8 @@ fn layout_pass(n: usize, workers: usize, pass: SpanPass, unit_target: usize) -> 
     // Too few blocks (late big-stride radix passes). Split fibres into
     // segments instead; segment kernels are the same elementwise fibre
     // kernels, so this stays exact.
-    if let SpanPass::Radix { stride, radix } = pass {
-        let block = radix * stride;
-        let nblocks = n / block;
+    if let Some((_, stride)) = pass.fibres() {
+        let nblocks = n / grain;
         // Halt once a further split would push the per-unit *work*
         // (`radix` fibres × `stride / segs` elements) below half the unit
         // target — that is the steal-granularity floor, not the raw
@@ -345,7 +313,7 @@ fn layout_pass(n: usize, workers: usize, pass: SpanPass, unit_target: usize) -> 
         let mut segs = 1;
         while nblocks * segs < 2 * workers
             && 2 * segs <= stride
-            && block / (2 * segs) >= unit_target.max(2) / 2
+            && grain / (2 * segs) >= unit_target.max(2) / 2
         {
             segs *= 2;
         }
@@ -442,9 +410,11 @@ unsafe fn run_unit<B: Butterfly>(
 ) {
     match layout.kind {
         LayoutKind::Contig { unit_elems } => {
-            debug_assert!((u + 1) * unit_elems <= shared.len);
             let start = u * unit_elems;
-            let v = std::slice::from_raw_parts_mut(shared.ptr.add(start), unit_elems);
+            // SAFETY: unit `u < units` covers `[u·unit_elems,
+            // (u+1)·unit_elems)`, inside the vector and disjoint from every
+            // other unit of the pass.
+            let v = shared.window(start, unit_elems);
             if let Some(h) = head {
                 // SAFETY: the unit's windows of `x` and `diag` lie in the
                 // shared length like the unit, and its `x` window belongs
@@ -455,40 +425,23 @@ unsafe fn run_unit<B: Butterfly>(
                     .map(|d| std::slice::from_raw_parts(d.add(start), unit_elems));
                 return head_ladder(v, x, h.scale, diag, h.tile, bf);
             }
-            match layout.pass {
-                SpanPass::Tile { tile, base } => {
-                    for chunk in v.chunks_exact_mut(tile) {
-                        radix_ladder(chunk, base, tile / 2, bf);
-                    }
-                }
-                SpanPass::Radix { stride, radix } => match radix {
-                    8 => radix8_stage(v, stride, bf),
-                    4 => radix4_stage(v, stride, bf),
-                    _ => radix2_stage(v, stride, bf),
-                },
-            }
+            run_pass(v, layout.pass, bf);
         }
         LayoutKind::FibreSeg { segs } => {
             // A head pass is a tile or a stride-1 radix-8 pass, both of
             // which `layout_pass` keeps contiguous.
             debug_assert!(head.is_none(), "a head pass is laid out contiguously");
-            let (stride, radix) = match layout.pass {
-                SpanPass::Radix { stride, radix } => (stride, radix),
-                SpanPass::Tile { .. } => unreachable!("tiled passes are always Contig"),
-            };
+            let (radix, stride) = layout
+                .pass
+                .fibres()
+                .expect("tiled passes are always Contig");
             let seg_len = stride / segs;
             let block_start = (u / segs) * (radix * stride);
             let seg_off = (u % segs) * seg_len;
-            debug_assert!(block_start + (radix - 1) * stride + seg_off + seg_len <= shared.len);
             // SAFETY: fibre j of block b spans
             // [b·radix·stride + j·stride, …+stride); distinct (b, j,
             // segment) triples are disjoint.
-            let fibre = |j: usize| {
-                std::slice::from_raw_parts_mut(
-                    shared.ptr.add(block_start + j * stride + seg_off),
-                    seg_len,
-                )
-            };
+            let fibre = |j: usize| shared.window(block_start + j * stride + seg_off, seg_len);
             match radix {
                 8 => radix8_lanes(
                     fibre(0),
@@ -509,18 +462,18 @@ unsafe fn run_unit<B: Butterfly>(
 }
 
 /// Claim matrix + completion counters for one apply. Stack-resident
-/// (`MAX_PASSES × (MAX_WORKERS + 1)` words) so the hot path allocates
-/// nothing.
+/// (`MAX_FUSED_PASSES × (MAX_WORKERS + 1)` words) so the hot path
+/// allocates nothing.
 struct ClaimState {
-    claims: [[AtomicUsize; MAX_WORKERS]; MAX_PASSES],
-    done: [AtomicUsize; MAX_PASSES],
+    claims: [[AtomicUsize; MAX_WORKERS]; MAX_FUSED_PASSES],
+    done: [AtomicUsize; MAX_FUSED_PASSES],
 }
 
 impl ClaimState {
     fn new() -> Self {
         ClaimState {
-            claims: [const { [const { AtomicUsize::new(0) }; MAX_WORKERS] }; MAX_PASSES],
-            done: [const { AtomicUsize::new(0) }; MAX_PASSES],
+            claims: [const { [const { AtomicUsize::new(0) }; MAX_WORKERS] }; MAX_FUSED_PASSES],
+            done: [const { AtomicUsize::new(0) }; MAX_FUSED_PASSES],
         }
     }
 }
@@ -595,39 +548,17 @@ fn worker_loop<B: Butterfly>(
     }
 }
 
-/// Check a schedule against the vector (and head) it is about to run on.
-fn check_schedule(v: &[f64], sched: &SpanSchedule, head: &Option<StepHead<'_>>) {
-    assert_eq!(
-        v.len(),
-        sched.n,
-        "schedule was built for a different length"
-    );
-    assert!(head.is_none() || sched.carries_head(), "{NO_HEAD}");
-}
-
 /// Run every pass of `sched` over `v` with one scoped set of workers
 /// ([`on_workers`]): the calling thread works inline as worker 0 and
-/// `workers − 1` helpers run the rest. With `workers ≤ 1` this degrades
-/// to the plain serial pass loop (no atomics, no scope). A power step's
-/// `head` (if any) folds into the first pass: every worker runs it on
-/// the units it claims.
-///
-/// # Panics
-///
-/// Panics if `head` is set and the schedule's first pass cannot carry it
-/// (`fused::carries_head`), or the head does not cover the
-/// whole vector.
-pub fn run_schedule<B: Butterfly>(
+/// `workers − 1` helpers run the rest. A power step's `head` (if any)
+/// folds into the first pass: every worker runs it on the units it
+/// claims.
+fn run_schedule<B: Butterfly>(
     v: &mut [f64],
     sched: &SpanSchedule,
     bf: B,
     head: Option<StepHead<'_>>,
 ) {
-    check_schedule(v, sched, &head);
-    if sched.workers <= 1 {
-        run_serial(v, sched, bf, head);
-        return;
-    }
     let state = ClaimState::new();
     let shared = SharedSpan::new(v, head, sched.head_tile);
     on_workers(sched.workers, |w| {
@@ -635,34 +566,96 @@ pub fn run_schedule<B: Butterfly>(
     });
 }
 
-/// Serial execution of a schedule: the same passes on the whole vector,
-/// no unit decomposition needed (bit-identical — units only partition the
-/// element groups the kernels already use).
-fn run_serial<B: Butterfly>(
+/// Report a kernel dispatch: the ISA, the workers, and the units they
+/// share (`1, 1` on the calling thread alone).
+pub(crate) fn record_dispatch(probe: &mut dyn Probe, threads: usize, spans: usize) {
+    probe.record(&SolverEvent::KernelDispatch {
+        isa: crate::simd::active().name(),
+        threads,
+        spans,
+    });
+}
+
+/// The one executor of a fused product: every pass of
+/// `par_plan(v.len(), workers)` over `v`, with the butterfly `bf`.
+///
+/// * At one worker it runs the passes in order on the calling thread —
+///   no schedule, no atomics, no scope.
+/// * Above one worker it runs them under the chunk-stealing span
+///   schedule, in one scope of `workers` threads (capped at
+///   [`MAX_WORKERS`]).
+///
+/// Every worker count gives the same bits as the staged reference.
+/// [`crate::Fmmp::new`] passes [`span_workers`] at the calling width; the
+/// fused helpers ([`crate::fmmp_in_place_fused`],
+/// [`crate::fwht_in_place_fused`]) pass 1, and the bench binaries force
+/// other counts to measure where that threshold belongs.
+///
+/// A power step's `head` (if any) folds into the first pass — every
+/// worker runs it on the units it claims. An enabled `probe` gets one
+/// `kernel_dispatch` event (ISA, workers, units: `1, 1` at one worker)
+/// and one `label` stage per memory pass; the first pass's event covers
+/// the head. Per-pass timing needs a barrier after each pass, so a traced
+/// multi-worker apply runs one single-pass schedule per planned pass (an
+/// untraced one runs them all in one scope).
+///
+/// # Panics
+///
+/// Panics if `v.len()` is not a power of two ≥ 2, or if `head` is set and
+/// `v` is shorter than 8 elements (the first pass cannot carry it) or the
+/// head does not cover the whole vector.
+pub fn run_fused<B: Butterfly>(
     v: &mut [f64],
-    sched: &SpanSchedule,
     bf: B,
     head: Option<StepHead<'_>>,
+    workers: usize,
+    probe: &mut dyn Probe,
+    label: &'static str,
 ) {
-    let mut layouts = &sched.passes[..sched.count];
-    if let Some(h) = head {
-        let tile = sched.head_tile.expect(NO_HEAD);
-        head_ladder(v, h.x, h.scale, h.diag, tile, bf);
-        layouts = &layouts[1..];
-    }
-    for layout in layouts {
-        match layout.pass {
-            SpanPass::Tile { tile, base } => {
-                for chunk in v.chunks_exact_mut(tile) {
-                    radix_ladder(chunk, base, tile / 2, bf);
-                }
-            }
-            SpanPass::Radix { stride, radix } => match radix {
-                8 => radix8_stage(v, stride, bf),
-                4 => radix4_stage(v, stride, bf),
-                _ => radix2_stage(v, stride, bf),
-            },
+    let plan = par_plan(v.len(), workers);
+    run_plan(v, &plan, bf, head, workers, SPAN_UNIT, probe, label);
+}
+
+/// [`run_fused`] on an explicit plan and unit target.
+#[allow(clippy::too_many_arguments)]
+fn run_plan<B: Butterfly>(
+    v: &mut [f64],
+    plan: &FusedPlan,
+    bf: B,
+    mut head: Option<StepHead<'_>>,
+    workers: usize,
+    unit_target: usize,
+    probe: &mut dyn Probe,
+    label: &'static str,
+) {
+    let passes = plan.passes();
+    let workers = workers.clamp(1, MAX_WORKERS);
+    if workers == 1 {
+        if probe.enabled() {
+            record_dispatch(probe, 1, 1);
         }
+        let mut rest = passes;
+        if let Some(h) = head {
+            let tile = passes[0].head_tile().expect(NO_HEAD);
+            time_stage(probe, label, || {
+                head_ladder(v, h.x, h.scale, h.diag, tile, bf)
+            });
+            rest = &passes[1..];
+        }
+        for &pass in rest {
+            time_stage(probe, label, || run_pass(v, pass, bf));
+        }
+        return;
+    }
+    let n = v.len();
+    let sched = SpanSchedule::new(n, workers, passes, unit_target);
+    if !probe.enabled() {
+        return run_schedule(v, &sched, bf, head);
+    }
+    record_dispatch(probe, workers, sched.total_units());
+    for pass in passes {
+        let one = SpanSchedule::new(n, workers, std::slice::from_ref(pass), unit_target);
+        time_stage(probe, label, || run_schedule(v, &one, bf, head.take()));
     }
 }
 
@@ -780,7 +773,8 @@ fn step_norms_over(x: &[f64], y: &[f64], lambda: f64, chunks: usize, workers: us
 mod tests {
     use super::*;
     use crate::fmmp::fmmp_in_place;
-    use crate::fused::{FusedPlan, HadamardButterfly, MixButterfly};
+    use crate::fused::{HadamardButterfly, MixButterfly};
+    use qs_telemetry::{NullProbe, RecordingProbe};
 
     /// Small sizes under Miri, full sweep natively.
     fn test_nus() -> std::ops::RangeInclusive<u32> {
@@ -805,6 +799,26 @@ mod tests {
             .collect()
     }
 
+    fn bits(s: &[f64]) -> Vec<u64> {
+        s.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `fmmp-fused-pass` stages a probe recorded.
+    fn pass_events(rec: &RecordingProbe) -> usize {
+        rec.events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    SolverEvent::MatvecTimed {
+                        stage: "fmmp-fused-pass",
+                        ..
+                    }
+                )
+            })
+            .count()
+    }
+
     #[test]
     fn span_workers_is_serial_below_the_threshold() {
         assert_eq!(span_workers(1 << 14), 0);
@@ -820,17 +834,15 @@ mod tests {
             let n = 1usize << nu;
             for workers in [1usize, 2, 3, 4, 8] {
                 let plan = FusedPlan::new(n, 1);
-                let sched = SpanSchedule::for_fused(n, workers, plan.passes());
+                let sched = SpanSchedule::new(n, workers, plan.passes(), SPAN_UNIT);
                 for layout in &sched.passes[..sched.count] {
                     match layout.kind {
                         LayoutKind::Contig { unit_elems } => {
                             assert_eq!(layout.units * unit_elems, n, "ν={nu} w={workers}");
                         }
                         LayoutKind::FibreSeg { segs } => {
-                            let (stride, radix) = match layout.pass {
-                                SpanPass::Radix { stride, radix } => (stride, radix),
-                                _ => panic!("tile pass with fibre layout"),
-                            };
+                            let (radix, stride) =
+                                layout.pass.fibres().expect("tile pass with fibre layout");
                             assert_eq!(stride % segs, 0);
                             assert_eq!(layout.units * radix * (stride / segs), n);
                         }
@@ -848,7 +860,7 @@ mod tests {
             let n = 1usize << nu;
             let workers = 4;
             let plan = FusedPlan::new(n, 1);
-            let sched = SpanSchedule::for_fused(n, workers, plan.passes());
+            let sched = SpanSchedule::new(n, workers, plan.passes(), SPAN_UNIT);
             for layout in &sched.passes[..sched.count] {
                 assert!(
                     layout.units >= workers,
@@ -857,6 +869,26 @@ mod tests {
                     layout.units
                 );
             }
+        }
+    }
+
+    #[test]
+    fn par_plan_gives_every_worker_a_tile() {
+        for workers in [2usize, 4, 8, 16] {
+            for nu in [16u32, 18, 20] {
+                let n = 1usize << nu;
+                match par_plan(n, workers).passes()[0] {
+                    FusedPass::Tile { tile, .. } => {
+                        assert!(n / tile >= workers || tile == MIN_PAR_TILE, "ν={nu}");
+                    }
+                    other => panic!("ν={nu}: first pass {other:?} is not tiled"),
+                }
+            }
+        }
+        // One worker keeps the default plan.
+        for nu in 1..=22u32 {
+            let n = 1usize << nu;
+            assert_eq!(par_plan(n, 1).passes(), FusedPlan::new(n, 1).passes());
         }
     }
 
@@ -873,14 +905,14 @@ mod tests {
             // A tiny unit target forces real multi-unit stealing even at
             // Miri-sized vectors.
             for workers in [1usize, 2, 3, 4] {
-                let plan = FusedPlan::new(n, 1);
-                let sched = SpanSchedule::for_fused_with(n, workers, plan.passes(), 64);
-                let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let plan = par_plan(n, workers);
                 let mut got = v.clone();
-                run_schedule(&mut got, &sched, MixButterfly::new(p), None);
+                let bf = MixButterfly::new(p);
+                run_plan(&mut got, &plan, bf, None, workers, 64, &mut NullProbe, "t");
                 assert_eq!(bits(&want), bits(&got), "ν={nu} workers={workers}");
                 let mut got = v.clone();
-                run_schedule(&mut got, &sched, HadamardButterfly, None);
+                let bf = HadamardButterfly;
+                run_plan(&mut got, &plan, bf, None, workers, 64, &mut NullProbe, "t");
                 assert_eq!(
                     bits(&want_fwht),
                     bits(&got),
@@ -892,12 +924,11 @@ mod tests {
 
     #[test]
     fn step_head_rides_the_first_pass_bit_identically() {
-        // The head, run inside the first pass on every worker, must equal
-        // the head as its own sweep followed by the staged transform — in
-        // both the transformed vector and `x` — whether that pass is a
-        // tile or an untiled plan's stride-1 radix-8 pass.
+        // The head, run inside the first pass on every worker, probed or
+        // not, must equal the head as its own sweep followed by the staged
+        // transform — in both the transformed vector and `x` — whether
+        // that pass is a tile or an untiled plan's stride-1 radix-8 pass.
         let p = 0.023;
-        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for nu in test_nus().filter(|&nu| nu >= 3) {
             let n = 1usize << nu;
             // The default plan (untiled below 2^14 elements), and a tile
@@ -919,24 +950,31 @@ mod tests {
                 let (mut want_y, mut want_x) = (y0.clone(), x0.clone());
                 crate::step_prologue(&mut want_y, &mut want_x, scale, diag);
                 fmmp_in_place(&mut want_y, p);
-                for (plan, workers) in plans.iter().flat_map(|p| [1usize, 2, 3, 4].map(|w| (p, w)))
-                {
-                    let sched = SpanSchedule::for_fused_with(n, workers, plan.passes(), 64);
-                    assert!(sched.carries_head());
-                    let (mut y, mut x) = (y0.clone(), x0.clone());
-                    let head = StepHead {
-                        x: &mut x,
-                        scale,
-                        diag,
-                    };
-                    run_schedule(&mut y, &sched, MixButterfly::new(p), Some(head));
-                    let case = format!(
-                        "ν={nu} first={:?} workers={workers} s={scale} diag={}",
-                        plan.passes()[0],
-                        diag.is_some()
-                    );
-                    assert_eq!(bits(&want_y), bits(&y), "{case}");
-                    assert_eq!(bits(&want_x), bits(&x), "{case}");
+                for plan in &plans {
+                    assert!(plan.passes()[0].head_tile().is_some());
+                    for (workers, probed) in [1usize, 2, 3, 4]
+                        .into_iter()
+                        .flat_map(|w| [(w, false), (w, true)])
+                    {
+                        let (mut y, mut x) = (y0.clone(), x0.clone());
+                        let head = StepHead {
+                            x: &mut x,
+                            scale,
+                            diag,
+                        };
+                        let mut rec = RecordingProbe::new();
+                        let probe: &mut dyn Probe = if probed { &mut rec } else { &mut NullProbe };
+                        let bf = MixButterfly::new(p);
+                        run_plan(&mut y, plan, bf, Some(head), workers, 64, probe, "t");
+                        let case = format!(
+                            "ν={nu} first={:?} workers={workers} probed={probed} s={scale} \
+                             diag={}",
+                            plan.passes()[0],
+                            diag.is_some()
+                        );
+                        assert_eq!(bits(&want_y), bits(&y), "{case}");
+                        assert_eq!(bits(&want_x), bits(&x), "{case}");
+                    }
                 }
             }
         }
@@ -947,10 +985,61 @@ mod tests {
         // Below 8 elements no pass starts with the stride-1 radix-8 group.
         for n in [2usize, 4] {
             let plan = FusedPlan::new(n, 1);
-            assert!(!crate::fused::carries_head(&plan), "n={n}");
-            assert!(!SpanSchedule::for_fused(n, 2, plan.passes()).carries_head());
+            assert_eq!(plan.passes()[0].head_tile(), None, "n={n}");
+            assert_eq!(SpanSchedule::new(n, 2, plan.passes(), 64).head_tile, None);
         }
-        assert!(crate::fused::carries_head(&FusedPlan::new(8, 1)));
+        assert_eq!(FusedPlan::new(8, 1).passes()[0].head_tile(), Some(8));
+    }
+
+    #[test]
+    fn probed_executor_matches_plain_with_one_event_per_pass() {
+        // At every worker count a traced apply gives the untraced bits,
+        // one dispatch — one thread and one span at one worker, the
+        // workers and their units above — and one stage per planned pass.
+        // Explicit worker counts: the contract is checked even where the
+        // hardware would hold the width to one worker.
+        let nus: &[u32] = if cfg!(miri) { &[6] } else { &[10, 18] };
+        for &nu in nus {
+            let n = 1usize << nu;
+            let x = probe(n, 19 + u64::from(nu));
+            let mut want = x.clone();
+            fmmp_in_place(&mut want, 0.02);
+            for workers in [1usize, 2, 4] {
+                let case = format!("ν={nu} workers={workers}");
+                let bf = MixButterfly::new(0.02);
+                let label = "fmmp-fused-pass";
+                let mut plain = x.clone();
+                run_fused(&mut plain, bf, None, workers, &mut NullProbe, label);
+                assert_eq!(bits(&want), bits(&plain), "{case}");
+                let mut rec = RecordingProbe::new();
+                let mut probed = x.clone();
+                run_fused(&mut probed, bf, None, workers, &mut rec, label);
+                assert_eq!(bits(&plain), bits(&probed), "{case}");
+
+                let plan = par_plan(n, workers);
+                assert_eq!(pass_events(&rec), plan.passes().len(), "{case}");
+                assert!(pass_events(&rec) < nu as usize, "{case}");
+                let dispatch: Vec<_> = rec
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e {
+                        SolverEvent::KernelDispatch {
+                            isa,
+                            threads,
+                            spans,
+                        } => Some((*isa, *threads, *spans)),
+                        _ => None,
+                    })
+                    .collect();
+                let spans = if workers == 1 {
+                    1
+                } else {
+                    SpanSchedule::new(n, workers, plan.passes(), SPAN_UNIT).total_units()
+                };
+                let isa = crate::simd::active().name();
+                assert_eq!(dispatch, [(isa, workers, spans)], "{case}");
+            }
+        }
     }
 
     #[test]
@@ -967,10 +1056,9 @@ mod tests {
             let mut want = v.clone();
             fmmp_in_place(&mut want, p);
             let plan = FusedPlan::new(n, 1);
-            let sched = SpanSchedule::for_fused_with(n, 4, plan.passes(), 256);
             let mut got = v.clone();
-            run_schedule(&mut got, &sched, MixButterfly::new(p), None);
-            let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let bf = MixButterfly::new(p);
+            run_plan(&mut got, &plan, bf, None, 4, 256, &mut NullProbe, "t");
             assert_eq!(bits(&want), bits(&got), "ν={nu}");
         }
     }
@@ -1015,7 +1103,6 @@ mod tests {
         step_norms: impl Fn(&[f64], &[f64], f64, usize) -> (f64, f64),
         case: &str,
     ) {
-        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let (want, y_want) = chunked_reference(x, y0, mu, chunks);
         for workers in 1..=4usize {
             let mut y = y0.to_vec();

@@ -12,7 +12,7 @@
 //! eigenvectors of the mutation matrix (the extension the paper flags as
 //! the entry point towards Rayleigh-quotient methods for `Q·F`).
 
-use crate::fused::{fwht_batch_in_place, fwht_in_place_fused};
+use crate::fused::fwht_in_place_fused;
 use crate::{time_stage, LinearOperator, Probe};
 
 /// How the eigenvalues `Λ_ii` of the diagonalised model are evaluated.
@@ -195,15 +195,14 @@ impl LinearOperator for QShiftInvert {
 /// Batched multi-`p` mutation product for parameter sweeps: column `j` of
 /// the slab is multiplied by `Q(p_j)`.
 ///
-/// The sweep exploits the paper's diagonalisation `Q(p) = V Λ(p) V` one
-/// step further: `V` (the Hadamard transform) does not depend on `p`, so
-/// `k` products at `k` different error rates share the same pair of
-/// column-blocked batched FWHTs over the slab; only the diagonal differs
-/// per column, indexing that column's precomputed eigenvalue table by
-/// Hamming weight, so each cache tile is traversed once per pass for the
-/// whole batch, with no scratch allocation.
+/// The sweep uses the paper's diagonalisation `Q(p) = V Λ(p) V`: `V`
+/// (the Hadamard transform) does not depend on `p`, so each column takes
+/// two fused FWHTs ([`crate::fwht_in_place_fused`], the executor at one
+/// worker) around a diagonal that indexes that column's precomputed
+/// eigenvalue table by Hamming weight. The columns are transformed one
+/// after another, with no scratch allocation.
 ///
-/// The solver no longer runs it: a sweep steps each rate's own fused
+/// The solver does not run it: a sweep steps each rate's own fused
 /// [`Fmmp`](crate::Fmmp) lane, ν butterfly stages with positive weights
 /// instead of 2ν with signed ones. It stays only as the kernel the
 /// benchmark's sweep ledger times, until that ledger is rebuilt on the
@@ -266,14 +265,14 @@ impl QSweep {
     pub fn apply_batch(&self, slab: &mut [f64]) {
         let (n, k) = (self.len(), self.k);
         assert_eq!(slab.len(), n * k, "apply_batch: slab length mismatch");
-        fwht_batch_in_place(slab, k);
         for (j, col) in slab.chunks_exact_mut(n).enumerate() {
+            fwht_in_place_fused(col);
             for (i, x) in col.iter_mut().enumerate() {
                 let w = (i as u64).count_ones() as usize;
                 *x *= self.class_scale[w][j];
             }
+            fwht_in_place_fused(col);
         }
-        fwht_batch_in_place(slab, k);
     }
 }
 

@@ -1,17 +1,16 @@
 //! Exact-equality pins for every kernel path over the full ν range.
 //!
-//! The fused, parallel and batched kernels regroup the staged butterfly
-//! schedule but never change any per-element expression or evaluation
-//! order, so their results must match the staged reference **bit for
+//! The fused plan regroups the staged butterfly schedule, at any worker
+//! count, but never changes any per-element expression or evaluation
+//! order, so its results must match the staged reference **bit for
 //! bit** — not merely to tolerance. These tests pin that contract for
 //! ν = 1..=20 across:
 //!
-//! * serial fused (`fmmp_in_place_fused` / `fwht_in_place_fused`),
-//! * the planned engine `Fmmp::new` at one thread (serial fused) and at
-//!   two (span-parallel fused wherever two cores give it a second
-//!   worker),
-//! * the column-blocked batched apply (`fmmp_batch_in_place` /
-//!   `fwht_batch_in_place`) at several column counts,
+//! * the one executor at one worker (`fmmp_in_place_fused` /
+//!   `fwht_in_place_fused`),
+//! * the planned engine `Fmmp::new` at one thread (the executor's
+//!   one-worker path) and at two (its span schedule wherever two cores
+//!   give it a second worker),
 //! * every available SIMD dispatch (scalar / AVX2 / AVX-512): forcing any
 //!   ISA must reproduce the scalar staged reference bit for bit, both at
 //!   the whole-transform level and for the raw fibre lane kernels on
@@ -26,7 +25,7 @@ use qs_matvec::fmmp::fmmp_in_place;
 use qs_matvec::fused::{radix2_lanes, radix4_lanes, radix8_lanes, MixButterfly};
 use qs_matvec::fwht::fwht_in_place;
 use qs_matvec::schedule::{span_shift_dot, span_step_norms, with_threads};
-use qs_matvec::{fmmp_batch_in_place, fwht_batch_in_place, Fmmp, Isa, LinearOperator};
+use qs_matvec::{Fmmp, Isa, LinearOperator};
 
 const P: f64 = 0.013;
 
@@ -135,19 +134,6 @@ fn fwht_staged_and_fused_paths_are_bit_identical_for_nu_1_to_20() {
 }
 
 #[test]
-fn batched_apply_is_bit_identical_to_column_by_column_for_nu_1_to_20() {
-    // Full ν sweep at a small column count, plus wider slabs at moderate ν
-    // (keeps the test under control: ν=20 × 8 columns is a 64 MiB slab).
-    for nu in 1..=20u32 {
-        let k = if nu <= 14 { 3 } else { 2 };
-        check_batch(nu, k);
-    }
-    for k in [1usize, 2, 3, 8] {
-        check_batch(12, k);
-    }
-}
-
-#[test]
 fn every_path_matches_the_scalar_reference_under_every_isa_for_nu_1_to_20() {
     let _guard = isa_lock();
     let isas = available_isas();
@@ -195,24 +181,6 @@ fn every_path_matches_the_scalar_reference_under_every_isa_for_nu_1_to_20() {
                 let (sums, shifted) = step_reductions(&v, &w, workers);
                 assert_eq!(sums, sums_ref, "{what}");
                 assert_bits_equal(&shifted_ref, &shifted, &what);
-            }
-
-            // Batched apply: bounded at two columns so the ν sweep stays
-            // within a reasonable memory/runtime budget.
-            if nu <= 14 {
-                let k = 2usize;
-                let mut slab = Vec::with_capacity(n * k);
-                for j in 0..k {
-                    slab.extend_from_slice(&probe_vector(n, 59_000 + u64::from(nu) * 8 + j as u64));
-                }
-                let mut expected = slab.clone();
-                qs_matvec::simd::force(Isa::Scalar).expect("scalar is always available");
-                for col in expected.chunks_exact_mut(n) {
-                    fmmp_in_place(col, P);
-                }
-                qs_matvec::simd::force(isa).expect("available() said yes");
-                fmmp_batch_in_place(&mut slab, k, P);
-                assert_bits_equal(&expected, &slab, &tag("fmmp batch"));
             }
         }
     }
@@ -291,27 +259,4 @@ fn lane_kernels_are_bit_identical_across_isas_on_odd_tails() {
         }
     }
     qs_matvec::simd::reset_auto();
-}
-
-fn check_batch(nu: u32, k: usize) {
-    let n = 1usize << nu;
-    let mut slab = Vec::with_capacity(n * k);
-    for j in 0..k {
-        slab.extend_from_slice(&probe_vector(n, 7_000 + u64::from(nu) * 16 + j as u64));
-    }
-
-    let mut expected = slab.clone();
-    for col in expected.chunks_exact_mut(n) {
-        fmmp_in_place(col, P);
-    }
-    let mut batched = slab.clone();
-    fmmp_batch_in_place(&mut batched, k, P);
-    assert_bits_equal(&expected, &batched, &format!("fmmp batch ν={nu} k={k}"));
-
-    let mut expected = slab.clone();
-    for col in expected.chunks_exact_mut(n) {
-        fwht_in_place(col);
-    }
-    fwht_batch_in_place(&mut slab, k);
-    assert_bits_equal(&expected, &slab, &format!("fwht batch ν={nu} k={k}"));
 }

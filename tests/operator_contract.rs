@@ -142,7 +142,7 @@ fn every_operator_keeps_the_one_body_contract() {
         ),
         (
             "Fmmp Fused",
-            Box::new(Fmmp::fused(NU, P)),
+            Box::new(Fmmp::new(NU, P)),
             "dispatch fmmp-fused-pass×4",
         ),
         ("Fwht", Box::new(Fwht::new(NU)), "apply"),
